@@ -5,14 +5,31 @@
    representative session + lazy view) and a thin per-user handle.
    Logins, broadcast rebases and memory all scale with the number of
    distinct permission profiles, not the number of sessions.  Users with
-   a $USER rule form singleton classes and behave exactly as before. *)
+   a $USER rule form singleton classes and behave exactly as before.
+
+   Deferred refresh: a commit rebases eagerly, delta-scoped, only the
+   classes whose rules are all downward (Session.policy_local).  Any other
+   class would need a full refresh — a pure function of the published
+   epoch (policy, source, flat) — so the commit only marks it [Stale],
+   dropping every per-epoch value it held, and the first read rebuilds it
+   from scratch against the epoch current at that time ({!entry}). *)
+
+type ready = { rep : Session.t; lazy_view : Lazy_view.t }
+
+type state =
+  | Ready of ready  (* resolved against the published epoch *)
+  | Stale
+      (* invalidated by a commit and not read since: pins no perm store,
+         view, lazy memo, source or flat of any epoch *)
 
 type shared = {
   profile : string;
-  mutable rep : Session.t;
-      (* representative session; its identity is the first member that
-         created the class (member handles impersonate it on demand) *)
-  mutable lazy_view : Lazy_view.t;
+  owner : string;
+      (* the identity the representative is resolved under: the first
+         member, which created the class (member handles impersonate it) *)
+  mutable state : state;
+      (* written only under the lock, so [rep] and [lazy_view] are always
+         installed together *)
   mutable members : int;
 }
 
@@ -34,11 +51,12 @@ type t = {
          every commit (epoch-style): readers fold the arrays, the writer
          path mutates the map-backed store and freezes once per batch *)
   lock : Mutex.t;
-      (* guards [sessions]/[classes]/[plans] (and [source]/[writes]
-         writes): pool workers never touch the tables, but login can race
-         a broadcast snapshot *)
+      (* guards [sessions]/[classes]/[plans], every class [state] and
+         [stale] (and [source]/[writes] writes): pool workers never touch
+         the tables, but login can race a broadcast snapshot *)
   sessions : (string, entry) Hashtbl.t;
   classes : (string, shared) Hashtbl.t;  (* Perm.profile -> shared state *)
+  mutable stale : int;  (* classes in [classes] whose state is [Stale] *)
   plans : (string, Rewrite.t) Hashtbl.t;
       (* query text -> compiled rewrite; plans are user- and
          policy-independent, so one cache serves every session *)
@@ -64,15 +82,18 @@ let m_updates =
 
 let m_fanout =
   Obs.Metrics.counter Obs.Metrics.default "serve_broadcast_sessions_total"
-    ~help:"Per-class delta rebases caused by broadcasts"
+    ~help:"Per-class eager rebases caused by commits (delta rebases of \
+           policy-local classes, rekeyed classes built at once); classes \
+           deferred as stale are not counted"
 
 let m_rebase_incremental =
   Obs.Metrics.counter Obs.Metrics.default "serve_rebase_incremental_total"
-    ~help:"Broadcast rebases that stayed delta-scoped (policy-local)"
+    ~help:"Class rebases that stayed delta-scoped (policy-local)"
 
 let m_rebase_full =
   Obs.Metrics.counter Obs.Metrics.default "serve_rebase_full_total"
-    ~help:"Broadcast rebases widened to a full refresh (non-local rules)"
+    ~help:"Class states resolved in full (non-local rules): writer classes \
+           at commit, stale classes when their deferred rebuild runs"
 
 let h_query =
   Obs.Metrics.histogram Obs.Metrics.default "serve_query_seconds"
@@ -84,7 +105,7 @@ let h_update =
 
 let h_broadcast =
   Obs.Metrics.histogram Obs.Metrics.default "serve_broadcast_seconds"
-    ~help:"Broadcast fan-out latency (all non-writer rebases)"
+    ~help:"Broadcast fan-out latency (non-writer rebases and invalidation)"
 
 let g_sessions =
   Obs.Metrics.gauge Obs.Metrics.default "serve_sessions"
@@ -93,6 +114,11 @@ let g_sessions =
 let g_classes =
   Obs.Metrics.gauge Obs.Metrics.default "serve_permission_classes"
     ~help:"Distinct permission-equivalence classes among logged sessions"
+
+let g_stale =
+  Obs.Metrics.gauge Obs.Metrics.default "serve_stale_classes"
+    ~help:"Permission classes invalidated by a commit and not yet rebuilt \
+           (they hold no per-epoch state)"
 
 let g_document_nodes =
   Obs.Metrics.gauge Obs.Metrics.default "document_nodes"
@@ -123,7 +149,33 @@ let locked t f =
 (* Call with the lock held (or from single-threaded setup paths). *)
 let sync_gauges t =
   Obs.Metrics.set_gauge g_sessions (float (Hashtbl.length t.sessions));
-  Obs.Metrics.set_gauge g_classes (float (Hashtbl.length t.classes))
+  Obs.Metrics.set_gauge g_classes (float (Hashtbl.length t.classes));
+  Obs.Metrics.set_gauge g_stale (float t.stale)
+
+(* The helpers below keep [t.stale] equal to the number of [Stale]
+   classes in the table; call them with the lock held. *)
+let is_stale cls = match cls.state with Stale -> true | Ready _ -> false
+
+let in_table t cls =
+  match Hashtbl.find_opt t.classes cls.profile with
+  | Some c -> c == cls
+  | None -> false
+
+let set_state t cls state =
+  (if in_table t cls then
+     match (cls.state, state) with
+     | Ready _, Stale -> t.stale <- t.stale + 1
+     | Stale, Ready _ -> t.stale <- t.stale - 1
+     | _ -> ());
+  cls.state <- state
+
+let add_class t cls =
+  Hashtbl.replace t.classes cls.profile cls;
+  if is_stale cls then t.stale <- t.stale + 1
+
+let remove_class t cls =
+  Hashtbl.remove t.classes cls.profile;
+  if is_stale cls then t.stale <- t.stale - 1
 
 let freeze source =
   let flat =
@@ -144,6 +196,7 @@ let create ?pool ?persist policy source =
     lock = Mutex.create ();
     sessions = Hashtbl.create 8;
     classes = Hashtbl.create 8;
+    stale = 0;
     plans = Hashtbl.create 8;
     rule_descs = Hashtbl.create 8;
     writes = 0;
@@ -154,23 +207,41 @@ let create ?pool ?persist policy source =
 let pool t = t.pool
 let persist t = t.persist
 
-let check_known t ~user =
-  if not (Subject.mem (Policy.subjects t.policy) user) then
+(* The published epoch, read consistently. *)
+let epoch t = locked t (fun () -> (t.policy, t.source, t.flat))
+
+(* Call with the lock held: is [epoch] still the published one? *)
+let is_current t (policy, source, _) = t.policy == policy && t.source == source
+
+let check_known policy ~user =
+  if not (Subject.mem (Policy.subjects policy) user) then
     raise (Session.Unknown_user user)
 
-(* The (source, flat) pair must come from one consistent epoch — callers
-   either hold the lock or snapshot the pair with {!snapshot} first. *)
-let fresh_shared t ~source ~flat ~profile ~user =
-  let rep = Session.login ~flat t.policy source ~user in
+let note_class policy ~profile ~user =
   if Obs.Rulestats.enabled () then
     Obs.Rulestats.note_class ~profile
       ~keys:
         (List.map
            (fun (r : Rule.t) -> r.Rule.priority)
-           (Policy.rules_for t.policy ~user));
-  { profile; rep; lazy_view = Lazy_view.of_session ~flat rep; members = 0 }
+           (Policy.rules_for policy ~user))
 
-let snapshot t = locked t (fun () -> (t.source, t.flat))
+let fresh_shared (policy, source, flat) ~profile ~user =
+  let rep = Session.login ~flat policy source ~user in
+  note_class policy ~profile ~user;
+  {
+    profile;
+    owner = user;
+    state = Ready { rep; lazy_view = Lazy_view.of_session ~flat rep };
+    members = 0;
+  }
+
+(* Call with the lock held: a class built outside the lock against
+   [epoch] joins the table as is, or [Stale] if a commit published a newer
+   document meanwhile (the policy, and so the profile, is unchanged —
+   callers retry otherwise). *)
+let adopt t epoch cls =
+  if not (is_current t epoch) then cls.state <- Stale;
+  add_class t cls
 
 (* Call with the lock held: binds [user] to its class (which must be in
    [t.classes]). *)
@@ -180,38 +251,45 @@ let register t ~user cls =
     Obs.Rulestats.note_member ~profile:cls.profile;
   Hashtbl.replace t.sessions user { user; cls }
 
-let login t ~user =
+let rec login t ~user =
   if not (locked t (fun () -> Hashtbl.mem t.sessions user)) then begin
-    check_known t ~user;
-    let profile = Perm.profile t.policy ~user in
+    let ((policy, _, _) as ep) = epoch t in
+    check_known policy ~user;
+    let profile = Perm.profile policy ~user in
     (* The expensive representative login happens outside the lock; the
        class table is re-checked under the lock (another thread may have
        created — or drained — the class meanwhile). *)
     let prebuilt =
       if locked t (fun () -> Hashtbl.mem t.classes profile) then None
-      else begin
-        let source, flat = snapshot t in
-        Some (fresh_shared t ~source ~flat ~profile ~user)
-      end
+      else Some (fresh_shared ep ~profile ~user)
     in
-    locked t (fun () ->
-        if not (Hashtbl.mem t.sessions user) then begin
-          let cls =
-            match Hashtbl.find_opt t.classes profile with
-            | Some cls -> cls
-            | None ->
+    let rekeyed =
+      locked t (fun () ->
+          if t.policy != policy then true
+          else begin
+            if not (Hashtbl.mem t.sessions user) then begin
               let cls =
-                match prebuilt with
-                | Some cls -> cls
-                | None ->
-                  fresh_shared t ~source:t.source ~flat:t.flat ~profile ~user
+                match (Hashtbl.find_opt t.classes profile, prebuilt) with
+                | Some cls, _ -> cls
+                | None, Some cls ->
+                  adopt t ep cls;
+                  cls
+                | None, None ->
+                  let cls =
+                    fresh_shared (t.policy, t.source, t.flat) ~profile ~user
+                  in
+                  add_class t cls;
+                  cls
               in
-              Hashtbl.replace t.classes profile cls;
-              cls
-          in
-          register t ~user cls;
-          sync_gauges t
-        end)
+              register t ~user cls;
+              sync_gauges t
+            end;
+            false
+          end)
+    in
+    (* A policy commit re-keyed the classes meanwhile: [profile] is
+       stale, start over. *)
+    if rekeyed then login t ~user
   end
 
 (* Login-time fan-out: conflict resolution ([Perm.compute], inside
@@ -220,16 +298,15 @@ let login t ~user =
    pool, then every fresh user binds to its class under the lock.
    All-or-nothing: if any representative login raises, no fresh session
    from this batch is registered. *)
-let login_many t users =
+let rec login_many t users =
   let users = List.sort_uniq String.compare users in
+  let ((policy, _, _) as ep) = epoch t in
   let fresh =
     locked t (fun () ->
         List.filter (fun u -> not (Hashtbl.mem t.sessions u)) users)
   in
-  List.iter (fun user -> check_known t ~user) fresh;
-  let profiles =
-    List.map (fun u -> (u, Perm.profile t.policy ~user:u)) fresh
-  in
+  List.iter (fun user -> check_known policy ~user) fresh;
+  let profiles = List.map (fun u -> (u, Perm.profile policy ~user:u)) fresh in
   let need =
     let seen = Hashtbl.create 16 in
     locked t (fun () ->
@@ -244,38 +321,43 @@ let login_many t users =
   in
   let arr = Array.of_list need in
   let built = Array.make (Array.length arr) None in
-  let source, flat = snapshot t in
   Pool.run t.pool
     (List.init (Array.length arr) (fun i _slot ->
          let user, profile = arr.(i) in
-         built.(i) <- Some (fresh_shared t ~source ~flat ~profile ~user)));
-  locked t (fun () ->
-      Array.iter
-        (function
-          | Some cls ->
-            if not (Hashtbl.mem t.classes cls.profile) then
-              Hashtbl.replace t.classes cls.profile cls
-          | None -> ())
-        built;
-      List.iter
-        (fun (user, profile) ->
-          if not (Hashtbl.mem t.sessions user) then begin
-            let cls =
-              match Hashtbl.find_opt t.classes profile with
-              | Some cls -> cls
-              | None ->
-                (* the class was drained by a concurrent logout between
-                   the [need] probe and here: rebuild under the lock *)
+         built.(i) <- Some (fresh_shared ep ~profile ~user)));
+  let rekeyed =
+    locked t (fun () ->
+        if t.policy != policy then true
+        else begin
+          Array.iter
+            (function
+              | Some cls ->
+                if not (Hashtbl.mem t.classes cls.profile) then adopt t ep cls
+              | None -> ())
+            built;
+          List.iter
+            (fun (user, profile) ->
+              if not (Hashtbl.mem t.sessions user) then begin
                 let cls =
-                  fresh_shared t ~source:t.source ~flat:t.flat ~profile ~user
+                  match Hashtbl.find_opt t.classes profile with
+                  | Some cls -> cls
+                  | None ->
+                    (* the class was drained by a concurrent logout between
+                       the [need] probe and here: rebuild under the lock *)
+                    let cls =
+                      fresh_shared (t.policy, t.source, t.flat) ~profile ~user
+                    in
+                    add_class t cls;
+                    cls
                 in
-                Hashtbl.replace t.classes profile cls;
-                cls
-            in
-            register t ~user cls
-          end)
-        profiles;
-      sync_gauges t)
+                register t ~user cls
+              end)
+            profiles;
+          sync_gauges t;
+          false
+        end)
+  in
+  if rekeyed then login_many t users
 
 let logout t ~user =
   locked t (fun () ->
@@ -283,7 +365,7 @@ let logout t ~user =
        | Some e ->
          Hashtbl.remove t.sessions user;
          e.cls.members <- e.cls.members - 1;
-         if e.cls.members <= 0 then Hashtbl.remove t.classes e.cls.profile
+         if e.cls.members <= 0 then remove_class t e.cls
        | None -> ());
       sync_gauges t)
 
@@ -293,6 +375,7 @@ let users t =
          Hashtbl.fold (fun user _ acc -> user :: acc) t.sessions []))
 
 let classes t = locked t (fun () -> Hashtbl.length t.classes)
+let stale_classes t = locked t (fun () -> t.stale)
 
 let source t = t.source
 let policy t = t.policy
@@ -309,15 +392,46 @@ let fresh_priority t =
       t.clock <- p + 1;
       p)
 
-let entry t ~user =
-  match locked t (fun () -> Hashtbl.find_opt t.sessions user) with
-  | Some e -> e
+(* The deferred refresh: a stale class is resolved from scratch against
+   the epoch published now — exactly what an eager full rebase would have
+   computed at the last commit, since that is a pure function of the
+   epoch.  Not a login (Session.rebuild: no login audit record, no
+   session_logins_total), but counted as a full rebase when it runs.  Nothing is installed if a
+   commit moved the epoch, or a rekey or logout replaced the class,
+   meanwhile; the caller re-reads its entry. *)
+let rebuild t cls =
+  let ((policy, source, flat) as ep) = epoch t in
+  let rep = Session.rebuild ~flat policy source ~user:cls.owner in
+  let lazy_view = Lazy_view.of_session ~flat rep in
+  locked t (fun () ->
+      if is_stale cls && in_table t cls && is_current t ep then begin
+        set_state t cls (Ready { rep; lazy_view });
+        Obs.Metrics.inc m_rebase_full;
+        sync_gauges t
+      end)
+
+(* The one choke point between a user and their class state: every read
+   ([query], [session], [view], [lazy_view]) and the writer's own staging
+   in [commit_ops] come through here, so none of them ever sees a stale
+   class. *)
+let rec entry t ~user =
+  match
+    locked t (fun () ->
+        Option.map (fun e -> (e, e.cls.state)) (Hashtbl.find_opt t.sessions user))
+  with
+  | Some (e, Ready r) -> (e, r)
+  | Some (e, Stale) ->
+    rebuild t e.cls;
+    entry t ~user
   | None ->
     login t ~user;
-    locked t (fun () -> Hashtbl.find t.sessions user)
+    entry t ~user
 
-let session t ~user = Session.impersonate (entry t ~user).cls.rep ~user
-let lazy_view t ~user = (entry t ~user).cls.lazy_view
+let session t ~user =
+  let _, r = entry t ~user in
+  Session.impersonate r.rep ~user
+
+let lazy_view t ~user = (snd (entry t ~user)).lazy_view
 let view t ~user = Session.view (session t ~user)
 
 (* Compiled rewrite plans are keyed by query text and shared across every
@@ -372,7 +486,7 @@ let query t ~user q =
   Obs.Trace.with_span "serve.query" @@ fun () ->
   Obs.Trace.annotate "user" user;
   let t0 = Obs.Mono.now () in
-  let e = entry t ~user in
+  let e, r = entry t ~user in
   let plan = plan_for t q in
   let stats =
     if Obs.Planlog.enabled () then Some (Xpath.Compile.stats ()) else None
@@ -381,7 +495,7 @@ let query t ~user q =
     Obs.Trace.with_span "query.eval" (fun () ->
         Rewrite.select
           ~vars:[ ("USER", Xpath.Value.Str user) ]
-          ?stats plan e.cls.lazy_view)
+          ?stats plan r.lazy_view)
   in
   let seconds = Obs.Mono.now () -. t0 in
   Obs.Metrics.observe h_query seconds;
@@ -396,7 +510,7 @@ let query t ~user q =
          ~states:s.Xpath.Compile.states ~visited:s.Xpath.Compile.visited
          ~pruned:s.Xpath.Compile.pruned
          ~answers:(Lazy.force answers)
-         ~rules:(deciding_rules_of t (Session.perm e.cls.rep) ids ~budget:16)
+         ~rules:(deciding_rules_of t (Session.perm r.rep) ids ~budget:16)
          ~cls:e.cls.profile ~seconds)
   | None -> ());
   if Obs.Audit.enabled () then
@@ -408,43 +522,28 @@ let query t ~user q =
       Obs.Audit.Allowed;
   ids
 
-let rebase_class ?slot ?txn ~flat source delta cls =
+(* The eager half of a broadcast: a policy-local class is rebased over
+   exactly the delta (Session.apply_delta stays incremental for it, and
+   its lazy memo keeps every entry outside the affected range). *)
+let rebase_class t ~slot ~txn ~flat source delta cls r =
   Obs.Metrics.inc m_fanout;
   Obs.Trace.with_span "session.rebase" @@ fun () ->
-  (match slot with
-   | Some slot -> Obs.Trace.annotate "domain" (string_of_int slot)
-   | None -> ());
-  let session = Session.apply_delta ~flat cls.rep source delta in
-  Obs.Trace.annotate "user" (Session.user session);
-  (* apply_delta widens internally for non-local sessions; the lazy memo
-     must be widened the same way, as its entries depend on the same
-     locality argument. *)
-  let lazy_delta =
-    if Session.policy_local session then begin
-      Obs.Metrics.inc m_rebase_incremental;
-      Obs.Trace.annotate "mode" "incremental";
-      delta
-    end
-    else begin
-      Obs.Metrics.inc m_rebase_full;
-      Obs.Trace.annotate "mode" "full-refresh";
-      Delta.all
-    end
-  in
+  Obs.Trace.annotate "domain" (string_of_int slot);
+  let rep = Session.apply_delta ~flat r.rep source delta in
+  Obs.Trace.annotate "user" (Session.user rep);
+  Obs.Metrics.inc m_rebase_incremental;
+  Obs.Trace.annotate "mode" "incremental";
   (* Pool workers run on other domains, where the ambient correlation id
      is absent — the writer's id travels explicitly. *)
-  Obs.Events.emit ?txn
-    (Obs.Events.Rebase
-       {
-         user = Session.user session;
-         mode =
-           (if Session.policy_local session then "incremental"
-            else "full-refresh");
-       });
-  cls.rep <- session;
-  cls.lazy_view <-
-    Lazy_view.rebase ~flat cls.lazy_view source (Session.perm session)
-      lazy_delta
+  Obs.Events.emit ~txn
+    (Obs.Events.Rebase { user = Session.user rep; mode = "incremental" });
+  let lazy_view =
+    Lazy_view.rebase ~flat r.lazy_view source (Session.perm rep) delta
+  in
+  locked t (fun () ->
+      match cls.state with
+      | Ready r0 when r0 == r -> set_state t cls (Ready { rep; lazy_view })
+      | _ -> ())
 
 type committed = {
   reports : Secure_update.report list;
@@ -463,31 +562,40 @@ type committed = {
      - a group containing the writer's (new) profile reuses the staged
        writer session — its perm was already re-resolved incrementally
        during staging (Perm.update_policy);
-     - every other group rebases one old representative onto the new
-       document (apply_delta) and the new policy (apply_policy, again
-       the incremental path);
+     - a group whose new rules are all downward, fed by a ready old
+       class, rebases one old representative onto the new document
+       (apply_delta) and the new policy (apply_policy, again the
+       incremental path);
+     - every other group is left [Stale], like a non-local class after a
+       document commit: its first read rebuilds it from scratch.  A stale
+       donor has no state a delta could patch;
      - a lazy view migrates by [Lazy_view.rebase] only when its old
        class fed exactly ONE new profile (rebasing shares the memo
        table, so one lazy view must be rebased at most once); groups fed
        by a split or a merge rebuild with [Lazy_view.of_session].
 
-   Group builds are pure and run on the pool, like login fan-outs. *)
+   Group builds are pure and run on the pool, like login fan-outs.
+   [publish] installs the new epoch in the same critical section as the
+   regrouped tables: until then readers keep the whole old epoch, and a
+   stale class is never rebuilt under the new policy for an identity its
+   old profile no longer describes. *)
 let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
-    ~writer_pdelta =
+    ~writer_ready ~writer_pdelta ~publish =
   Obs.Trace.with_span "serve.rekey" @@ fun () ->
   let entries =
     locked t (fun () ->
-        Hashtbl.fold (fun _ e acc -> e :: acc) t.sessions [])
+        Hashtbl.fold (fun _ e acc -> (e.user, e.cls, e.cls.state) :: acc)
+          t.sessions [])
   in
-  let groups : (string, (string * shared) list ref) Hashtbl.t =
+  let groups : (string, (string * shared * state) list ref) Hashtbl.t =
     Hashtbl.create 8
   in
   List.iter
-    (fun e ->
-      let profile = Perm.profile policy ~user:e.user in
+    (fun ((user, _, _) as member) ->
+      let profile = Perm.profile policy ~user in
       match Hashtbl.find_opt groups profile with
-      | Some l -> l := (e.user, e.cls) :: !l
-      | None -> Hashtbl.add groups profile (ref [ (e.user, e.cls) ]))
+      | Some l -> l := member :: !l
+      | None -> Hashtbl.add groups profile (ref [ member ]))
     entries;
   (* Old profile -> new profiles it feeds; drives both the split/merge
      counters and the sole-feeder lazy-view migration rule. *)
@@ -495,7 +603,7 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
   Hashtbl.iter
     (fun profile members ->
       List.iter
-        (fun ((_, old) : string * shared) ->
+        (fun (_, (old : shared), _) ->
           match Hashtbl.find_opt feeds old.profile with
           | Some ps -> if not (List.mem profile !ps) then ps := profile :: !ps
           | None -> Hashtbl.add feeds old.profile (ref [ profile ]))
@@ -511,7 +619,7 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
       (fun _ members acc ->
         let olds =
           List.sort_uniq String.compare
-            (List.map (fun ((_, o) : string * shared) -> o.profile) !members)
+            (List.map (fun (_, (o : shared), _) -> o.profile) !members)
         in
         if List.length olds > 1 then acc + 1 else acc)
       groups 0
@@ -529,31 +637,13 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
   in
   let arr = Array.of_list group_list in
   let built = Array.make (Array.length arr) None in
-  let build i =
-    let profile, members = arr.(i) in
+  (* The lazy-view donor [old0] must be the class whose perm change the
+     rebase delta actually covers: for the writer's group that is the
+     writer's OLD class (writer_pdelta spans exactly its re-resolution);
+     any other old class merged into this profile would need its own
+     old->new delta, which we don't have. *)
+  let migrate profile rep' pdelta (old0 : shared) (r0 : ready) =
     Obs.Metrics.inc m_fanout;
-    (* The lazy-view donor [old0] must be the class whose perm change the
-       rebase delta actually covers: for the writer's group that is the
-       writer's OLD class (writer_pdelta spans exactly its re-resolution);
-       any other old class merged into this profile would need its own
-       old->new delta, which we don't have. *)
-    let rep', pdelta, old0 =
-      if String.equal profile writer_profile then
-        (writer, writer_pdelta, writer_cls)
-      else begin
-        let user0, old0 = List.hd members in
-        let rep = Session.impersonate old0.rep ~user:user0 in
-        let rep =
-          Obs.Trace.with_span "session.rebase" (fun () ->
-              Session.apply_delta ~flat rep source delta)
-        in
-        let rep', pdelta =
-          Obs.Trace.with_span "session.rekey" (fun () ->
-              Session.apply_policy ~flat rep policy)
-        in
-        (rep', pdelta, old0)
-      end
-    in
     let combined = Delta.union delta pdelta in
     let lazy_delta =
       if Session.policy_local rep' then combined else Delta.all
@@ -565,31 +655,53 @@ let rekey t ~txn ~flat ~source ~delta ~policy ~writer ~writer_cls
     let lazy_view =
       if sole_feeder old0 profile then
         Obs.Trace.with_span "lazy_view.rebase" (fun () ->
-            Lazy_view.rebase ~flat old0.lazy_view source (Session.perm rep')
+            Lazy_view.rebase ~flat r0.lazy_view source (Session.perm rep')
               lazy_delta)
       else
         Obs.Trace.with_span "lazy_view.rebuild" (fun () ->
             Lazy_view.of_session ~flat rep')
     in
-    if Obs.Rulestats.enabled () then
-      Obs.Rulestats.note_class ~profile
-        ~keys:
-          (List.map
-             (fun (r : Rule.t) -> r.Rule.priority)
-             (Policy.rules_for policy ~user:(Session.user rep')));
-    built.(i) <- Some { profile; rep = rep'; lazy_view; members = 0 }
+    Ready { rep = rep'; lazy_view }
+  in
+  let build i =
+    let profile, members = arr.(i) in
+    let user0, old0, state0 = List.hd members in
+    let owner, state =
+      if String.equal profile writer_profile then
+        ( writer_user,
+          migrate profile writer writer_pdelta writer_cls writer_ready )
+      else
+        match state0 with
+        | Ready r0 when Delta.local_rules (Policy.rules_for policy ~user:user0)
+          ->
+          let rep = Session.impersonate r0.rep ~user:user0 in
+          let rep =
+            Obs.Trace.with_span "session.rebase" (fun () ->
+                Session.apply_delta ~flat rep source delta)
+          in
+          let rep', pdelta =
+            Obs.Trace.with_span "session.rekey" (fun () ->
+                Session.apply_policy ~flat rep policy)
+          in
+          (user0, migrate profile rep' pdelta old0 r0)
+        | _ -> (user0, Stale)
+    in
+    note_class policy ~profile ~user:owner;
+    built.(i) <- Some { profile; owner; state; members = 0 }
   in
   Pool.run t.pool (List.init (Array.length arr) (fun i _slot -> build i));
   locked t (fun () ->
+      publish ();
       Hashtbl.reset t.classes;
       Hashtbl.reset t.sessions;
+      t.stale <- 0;
       Array.iteri
         (fun i cls ->
           match cls with
           | Some cls ->
             let _, members = arr.(i) in
-            Hashtbl.replace t.classes cls.profile cls;
-            List.iter (fun (user, _) -> register t ~user cls) members
+            add_class t cls;
+            List.iter (fun (user, _, _) -> register t ~user cls) members
           | None -> ())
         built;
       sync_gauges t);
@@ -614,9 +726,12 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
      inside Store.append inherit it from the same scope. *)
   let txn = Obs.Events.next_txn () in
   Obs.Events.with_txn txn @@ fun () ->
-  let e = entry t ~user in
+  (* Staging goes through [entry] like any read: a stale writer class is
+     rebuilt on the current document first, or the batch would be staged
+     on an old one and silently drop the commits since. *)
+  let e, r = entry t ~user in
   match
-    Txn.commit_ops ~on_denial ?admin (Session.impersonate e.cls.rep ~user) ops
+    Txn.commit_ops ~on_denial ?admin (Session.impersonate r.rep ~user) ops
   with
   | Error _ as err -> err
   | Ok
@@ -636,32 +751,38 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
      | _ -> ());
     (* The freeze runs outside the lock; the new epoch — map-backed
        store, columnar snapshot and (on churn) policy + timestamp clock
-       — is published atomically under it.  A policy-only batch leaves
-       the document untouched and skips the re-freeze. *)
-    let flat' = if source' == t.source then t.flat else freeze source' in
-    locked t (fun () ->
-        t.source <- source';
-        t.flat <- flat';
-        t.writes <- t.writes + List.length reports;
-        if c.Txn.policy_changed then begin
-          t.policy <- c.Txn.policy;
-          t.clock <- max t.clock (Policy.next_priority c.Txn.policy)
-        end);
+       — is published atomically under it.  A batch that left the
+       document untouched skips the re-freeze. *)
+    let unchanged = source' == Session.source r.rep in
+    let flat' = if unchanged then t.flat else freeze source' in
+    let publish () =
+      t.source <- source';
+      t.flat <- flat';
+      t.writes <- t.writes + List.length reports
+    in
     Obs.Metrics.add m_updates (List.length reports);
     if c.Txn.policy_changed then
       (* The rekey subsumes both the writer-class rebase and the
-         broadcast: every class is regrouped and rebased exactly once
-         against the new (document, policy) epoch. *)
+         broadcast: every class is regrouped and rebased (or left stale)
+         exactly once against the new (document, policy) epoch, which it
+         publishes. *)
       Obs.Metrics.time h_broadcast (fun () ->
           rekey t ~txn:(Some txn) ~flat:flat' ~source:source' ~delta
             ~policy:c.Txn.policy ~writer:session' ~writer_cls:e.cls
-            ~writer_pdelta:c.Txn.policy_delta)
+            ~writer_ready:r ~writer_pdelta:c.Txn.policy_delta
+            ~publish:(fun () ->
+              publish ();
+              t.policy <- c.Txn.policy;
+              t.clock <- max t.clock (Policy.next_priority c.Txn.policy)))
+    else if unchanged then
+      (* Neither the document nor the policy moved (e.g. every target
+         was denied): the published epoch stands, so every class state —
+         lazy memos included — stays valid. *)
+      locked t publish
     else begin
       (* The writer's class is already rebased by the transaction (the
          staged session shares the class's decision profile); its lazy
-         view and every other class get the merged delta. *)
-      e.cls.rep <-
-        Session.impersonate session' ~user:(Session.user e.cls.rep);
+         view gets the merged delta. *)
       let lazy_delta =
         if Session.policy_local session' then begin
           Obs.Metrics.inc m_rebase_incremental;
@@ -672,32 +793,54 @@ let commit_ops ?(on_denial = `Abort) ?admin t ~user ops =
           Delta.all
         end
       in
-      e.cls.lazy_view <-
-        Obs.Trace.with_span "lazy_view.rebase" (fun () ->
-            Lazy_view.rebase ~flat:flat' e.cls.lazy_view source'
-              (Session.perm session') lazy_delta);
-      (* Fan-out over a lock-free snapshot: classes are disjoint, so
-         workers never contend; pool size 1 reproduces the sequential
-         broadcast exactly. *)
-      let others =
-        locked t (fun () ->
-            Hashtbl.fold
-              (fun _ cls acc -> if cls == e.cls then acc else cls :: acc)
-              t.classes [])
+      let writer_state =
+        Ready
+          {
+            rep = Session.impersonate session' ~user:e.cls.owner;
+            lazy_view =
+              Obs.Trace.with_span "lazy_view.rebase" (fun () ->
+                  Lazy_view.rebase ~flat:flat' r.lazy_view source'
+                    (Session.perm session') lazy_delta);
+          }
       in
-      if reports <> [] then
-        Obs.Metrics.time h_broadcast (fun () ->
-            Obs.Trace.with_span "serve.broadcast" (fun () ->
-                Obs.Trace.annotate "sessions"
-                  (string_of_int (List.length others));
-                Obs.Trace.annotate "pool" (string_of_int (Pool.size t.pool));
-                Obs.Events.emit
-                  (Obs.Events.Broadcast { sessions = List.length others });
-                Pool.run t.pool
-                  (List.map
-                     (fun cls slot ->
-                       rebase_class ~slot ~txn ~flat:flat' source' delta cls)
-                     others)))
+      Obs.Metrics.time h_broadcast (fun () ->
+          Obs.Trace.with_span "serve.broadcast" (fun () ->
+              (* Publication and invalidation are one critical section: no
+                 reader sees the new document next to a non-local class
+                 still resolved on the old one. *)
+              let local =
+                locked t (fun () ->
+                    publish ();
+                    set_state t e.cls writer_state;
+                    let local =
+                      Hashtbl.fold
+                        (fun _ cls acc ->
+                          if cls == e.cls then acc
+                          else
+                            match cls.state with
+                            | Stale -> acc
+                            | Ready r when Session.policy_local r.rep ->
+                              (cls, r) :: acc
+                            | Ready _ ->
+                              set_state t cls Stale;
+                              acc)
+                        t.classes []
+                    in
+                    sync_gauges t;
+                    local)
+              in
+              Obs.Trace.annotate "sessions" (string_of_int (List.length local));
+              Obs.Trace.annotate "pool" (string_of_int (Pool.size t.pool));
+              Obs.Events.emit
+                (Obs.Events.Broadcast { sessions = List.length local });
+              (* Fan-out over a lock-free snapshot: classes are disjoint, so
+                 workers never contend; pool size 1 reproduces the
+                 sequential broadcast exactly. *)
+              Pool.run t.pool
+                (List.map
+                   (fun (cls, r) slot ->
+                     rebase_class t ~slot ~txn ~flat:flat' source' delta cls r)
+                   local)))
     end;
     let seconds = Obs.Mono.now () -. t0 in
     Obs.Metrics.observe h_update seconds;

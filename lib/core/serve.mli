@@ -16,12 +16,16 @@
 
     Each class carries both enforcement engines: the incrementally
     maintained materialised view (axioms 15–17 via {!Session.apply_delta})
-    and a memoised {!Lazy_view} for query filtering, rebased on each
-    broadcast; {!query} answers through the compiled {!Rewrite} read path
-    (plans cached per query text, shared by every session).  Classes
-    whose rules are not downward ({!Session.policy_local}) transparently
-    fall back to full re-derivation on every write — same answers, no
-    locality. *)
+    and a memoised {!Lazy_view} for query filtering; {!query} answers
+    through the compiled {!Rewrite} read path (plans cached per query
+    text, shared by every session).  A commit rebases eagerly, over the
+    delta, only the classes whose rules are all downward
+    ({!Session.policy_local}).  Every other class would need a full
+    re-derivation, so the commit only marks it {e stale}: it drops all
+    its per-epoch state, and the first read of any member rebuilds it
+    from scratch against the then-current document and policy — same
+    answers, paid only by the classes actually read between commits
+    ([serve_stale_classes] counts the deferred ones). *)
 
 type t
 
@@ -64,6 +68,11 @@ val classes : t -> int
 (** Number of distinct permission-equivalence classes among the logged
     sessions — what server memory actually scales with. *)
 
+val stale_classes : t -> int
+(** Classes invalidated by a commit and not read since: they hold no
+    permission store, view or lazy memo until their next read rebuilds
+    them (the [serve_stale_classes] gauge). *)
+
 val source : t -> Xmldoc.Document.t
 (** The current shared source database. *)
 
@@ -90,7 +99,8 @@ val lazy_view : t -> user:string -> Lazy_view.t
 (** The user's {e class}'s lazy view — shared by every member. *)
 
 val view : t -> user:string -> Xmldoc.Document.t
-(** The user's materialised view (incrementally maintained). *)
+(** The user's materialised view (incrementally maintained, or rebuilt
+    here if the class is stale). *)
 
 val query : t -> user:string -> string -> Ordpath.t list
 (** Evaluates through the {!Rewrite} read path on the user's class state
@@ -129,7 +139,10 @@ val commit_ops :
     ([serve_class_splits_total] / [serve_class_merges_total]), and each
     class is rebased exactly once against the new (document, policy)
     epoch, reusing incremental re-resolution ({!Perm.update_policy}) and
-    migrating lazy views where sound.
+    migrating lazy views where sound.  In both cases classes with
+    non-downward rules (other than the writer's) are left stale, to be
+    rebuilt on their next read; a batch that changed neither the
+    document nor the policy (every target denied) invalidates nothing.
 
     [?admin] activates §4.3 administrative authority checks with [user]
     as issuer (see {!Txn.commit_ops}).

@@ -41,29 +41,38 @@ let h_login =
   Obs.Metrics.histogram Obs.Metrics.default "session_login_seconds"
     ~help:"Login latency (perm resolution + view derivation)"
 
-let login ?flat policy source ~user =
+(* Conflict resolution + view derivation from scratch: the common core
+   of a login and of every full refresh. *)
+let derive ?flat policy source ~user =
+  let perm =
+    Obs.Trace.with_span "perm.compute" (fun () ->
+        Perm.compute ?flat policy source ~user)
+  in
+  let view =
+    Obs.Trace.with_span "view.derive" (fun () -> View.derive ?flat source perm)
+  in
+  let local = Delta.local_rules (Policy.rules_for policy ~user) in
+  { user; policy; source; perm; view; local }
+
+let check_known policy ~user =
   if not (Subject.mem (Policy.subjects policy) user) then
-    raise (Unknown_user user);
+    raise (Unknown_user user)
+
+let login ?flat policy source ~user =
+  check_known policy ~user;
   Obs.Metrics.time h_login (fun () ->
       Obs.Trace.with_span "session.login" (fun () ->
           Obs.Trace.annotate "user" user;
-          let perm =
-            Obs.Trace.with_span "perm.compute" (fun () ->
-                Perm.compute ?flat policy source ~user)
-          in
-          let view =
-            Obs.Trace.with_span "view.derive" (fun () ->
-                View.derive ?flat source perm)
-          in
-          let local = Delta.local_rules (Policy.rules_for policy ~user) in
+          let t = derive ?flat policy source ~user in
           Obs.Metrics.inc m_logins;
           if Obs.Audit.enabled () then
             Obs.Audit.record Obs.Audit.default ~user ~action:"login"
               ~detail:
-                (Printf.sprintf "view: %d nodes; %s" (View.visible_count view)
-                   (if local then "delta-local" else "non-local rules"))
+                (Printf.sprintf "view: %d nodes; %s"
+                   (View.visible_count t.view)
+                   (if t.local then "delta-local" else "non-local rules"))
               Obs.Audit.Allowed;
-          { user; policy; source; perm; view; local }))
+          t))
 
 (* Equivalence-class sharing (see Perm.profile): a member session is the
    representative's record with only the identity swapped — the perm
@@ -72,8 +81,7 @@ let login ?flat policy source ~user =
 let impersonate t ~user =
   if String.equal user t.user then t
   else begin
-    if not (Subject.mem (Policy.subjects t.policy) user) then
-      raise (Unknown_user user);
+    check_known t.policy ~user;
     { t with user; perm = Perm.with_user t.perm user }
   end
 
@@ -110,19 +118,15 @@ let query t src =
 let query_source t src =
   Xpath.Eval.select_str ~vars:(user_vars t) t.source src
 
-let refresh ?(quiet = false) ?flat t source =
+let rebuild ?(quiet = false) ?flat policy source ~user =
+  check_known policy ~user;
   if not quiet then Obs.Metrics.inc m_refresh_full;
   Obs.Trace.with_span "session.refresh" (fun () ->
-      Obs.Trace.annotate "user" t.user;
-      let perm =
-        Obs.Trace.with_span "perm.compute" (fun () ->
-            Perm.compute ?flat t.policy source ~user:t.user)
-      in
-      let view =
-        Obs.Trace.with_span "view.derive" (fun () ->
-            View.derive ?flat source perm)
-      in
-      { t with source; perm; view })
+      Obs.Trace.annotate "user" user;
+      derive ?flat policy source ~user)
+
+let refresh ?quiet ?flat t source =
+  rebuild ?quiet ?flat t.policy source ~user:t.user
 
 (* Policy churn: the source is unchanged, the rule list is not.  The
    perm store hands back exactly the delta it re-resolved, so the view

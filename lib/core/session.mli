@@ -49,6 +49,16 @@ val refresh : ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> t
     metrics registry untouched if the transaction aborts.  [?flat], when
     given, must be a frozen snapshot of the {e new} source. *)
 
+val rebuild :
+  ?quiet:bool -> ?flat:Xmldoc.Flat.t -> Policy.t -> Xmldoc.Document.t ->
+  user:string -> t
+(** [rebuild policy source ~user] resolves a session from scratch, exactly
+    as {!login} does, but as a {e refresh}: it writes no [login] audit
+    record and counts in [session_refresh_full_total] (unless [quiet]),
+    not in [session_logins_total].  {!Serve} rebuilds deferred
+    permission classes through it.
+    @raise Unknown_user if [user] is not in the policy's hierarchy. *)
+
 val apply_delta :
   ?quiet:bool -> ?flat:Xmldoc.Flat.t -> t -> Xmldoc.Document.t -> Delta.t -> t
 (** [apply_delta t source delta] rebases the session onto the updated

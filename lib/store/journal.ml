@@ -55,17 +55,17 @@ let magic = "TXN!"
 
 (* Adler-32 (RFC 1950), hand-rolled — cheap, and strong enough to decide
    where a torn tail begins. *)
-let adler32 s =
+let adler32_bytes buf off len =
   (* Deferred modulo: 5552 is the largest chunk for which [b] stays
      below 2^63 with every byte at 0xff, so one [mod] per chunk gives
      the same sums as one per byte. *)
   let a = ref 1 and b = ref 0 in
-  let n = String.length s in
-  let i = ref 0 in
+  let n = off + len in
+  let i = ref off in
   while !i < n do
     let stop = min n (!i + 5552) in
     while !i < stop do
-      a := !a + Char.code (String.unsafe_get s !i);
+      a := !a + Char.code (Bytes.unsafe_get buf !i);
       b := !b + !a;
       incr i
     done;
@@ -73,6 +73,8 @@ let adler32 s =
     b := !b mod 65521
   done;
   (!b lsl 16) lor !a
+
+let adler32 s = adler32_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let mode_to_string = function `Atomic -> "atomic" | `Tolerant -> "tolerant"
 
@@ -303,29 +305,85 @@ let scan_frames ~magic:m ~header s =
   in
   List.rev (go hl [])
 
-let scan_string s =
-  let frames = scan_frames ~magic ~header:header_line s in
-  (* A checksum-valid frame whose payload does not parse still ends the
-     valid prefix — the semantic content, not just the framing, must be
-     sound for appends to resume past it. *)
-  let rec take acc valid = function
-    | [] -> (acc, valid)
-    | (p, endoff) :: rest -> (
-      match record_of_payload p with
-      | r -> take (r :: acc) endoff rest
-      | exception Error _ -> (acc, valid))
-  in
-  let records, valid_bytes = take [] (String.length header_line) frames in
-  {
-    records = List.rev records;
-    valid_bytes;
-    torn_bytes = String.length s - valid_bytes;
-  }
+(* The envelope's seq, read without decoding the payload: {!payload}
+   always prints [<txn seq="N"] first.  [None] for any other shape — the
+   full decode then decides. *)
+let envelope_prefix = "<txn seq=\""
 
-let read_file path =
+let envelope_seq buf len =
+  let pl = String.length envelope_prefix in
+  let rec digits i n =
+    if i >= len || i - pl > 18 then None
+    else
+      match Bytes.get buf i with
+      | '0' .. '9' as c -> digits (i + 1) ((n * 10) + Char.code c - 48)
+      | '"' when i > pl -> Some n
+      | _ -> None
+  in
+  if len >= pl && String.equal (Bytes.sub_string buf 0 pl) envelope_prefix
+  then digits pl 0
+  else None
+
+(* The valid-prefix scan, streamed frame by frame through one reusable
+   buffer: [input buf off len] reads the next [len] of the image's
+   [length] bytes.  Same stopping rules as {!scan_frames} + a full
+   decode, except that a frame whose envelope seq is in [1, after] is
+   checksum-verified but not decoded, and left out of [records]. *)
+let scan_input ~after ~length ~input =
+  let hl = String.length header_line in
+  let header = Bytes.create hl in
+  if length < hl then fail "bad journal header";
+  input header 0 hl;
+  if not (String.equal (Bytes.to_string header) header_line) then
+    fail "bad journal header";
+  let head = Bytes.create 16 in
+  let buf = ref (Bytes.create 4096) in
+  let rec go off acc =
+    if off + 16 > length then (acc, off)
+    else begin
+      input head 0 16;
+      let hs = Bytes.to_string head in
+      if not (String.equal (String.sub hs 0 4) magic) then (acc, off)
+      else
+        let len = be hs 4 8 and crc = be hs 12 4 in
+        if len < 0 || len > length - (off + 16) then (acc, off)
+        else begin
+          if Bytes.length !buf < len then
+            buf := Bytes.create (max len (2 * Bytes.length !buf));
+          input !buf 0 len;
+          if adler32_bytes !buf 0 len <> crc then (acc, off)
+          else
+            let next = off + 16 + len in
+            match envelope_seq !buf len with
+            | Some seq when seq >= 1 && seq <= after -> go next acc
+            | _ -> (
+              (* A checksum-valid frame whose payload does not parse
+                 still ends the valid prefix — the semantic content, not
+                 just the framing, must be sound for appends to resume
+                 past it. *)
+              match record_of_payload (Bytes.sub_string !buf 0 len) with
+              | r -> go next (if r.seq <= after then acc else r :: acc)
+              | exception Error _ -> (acc, off))
+        end
+    end
+  in
+  let records, valid_bytes = go hl [] in
+  { records = List.rev records; valid_bytes; torn_bytes = length - valid_bytes }
+
+let scan_string s =
+  let pos = ref 0 in
+  scan_input ~after:0 ~length:(String.length s) ~input:(fun buf off len ->
+      Bytes.blit_string s !pos buf off len;
+      pos := !pos + len)
+
+let scan_tail ~after path =
   let ic = try open_in_bin path with Sys_error m -> fail "%s" m in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      try
+        scan_input ~after ~length:(in_channel_length ic)
+          ~input:(really_input ic)
+      with Sys_error m -> fail "%s" m)
 
-let scan path = scan_string (read_file path)
+let scan path = scan_tail ~after:0 path

@@ -101,3 +101,13 @@ val scan_string : string -> scan
 val scan : string -> scan
 (** @raise Error when the file is unreadable or its header is wrong
     (a torn {e tail} is not an error; a bad {e header} is). *)
+
+val scan_tail : after:int -> string -> scan
+(** [scan_tail ~after path] is [scan path] restricted to the records
+    with [seq > after], for recovery past a snapshot at seq [after]: the
+    file is streamed frame by frame, and a frame whose envelope names a
+    seq in [\[1, after\]] is checksum-verified but never decoded.
+    [valid_bytes] and [torn_bytes] are those of {!scan}, except that a
+    checksum-valid frame at or below [after] whose payload would not
+    decode no longer ends the valid prefix.  [scan_tail ~after:0] = {!scan}.
+    @raise Error as {!scan}. *)

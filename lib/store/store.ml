@@ -196,24 +196,27 @@ let recover ~replay dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     fail "%s: no such store" dir;
   let jp = journal_path dir in
+  (* The snapshot is loaded first so that the journal records it covers
+     are only checksum-framed, never decoded: recovery cost follows the
+     tail, not the store's history. *)
+  let snapshot = Snapshot.load_latest ~dir in
+  let snapshot_seq, doc0 =
+    match snapshot with
+    | Some (seq, doc) -> (seq, doc)
+    | None -> (0, Xmldoc.Document.empty)
+  in
   let scan =
     if Sys.file_exists jp then
-      try Journal.scan jp with Journal.Error m -> fail "%s" m
+      try Journal.scan_tail ~after:snapshot_seq jp
+      with Journal.Error m -> fail "%s" m
     else { Journal.records = []; valid_bytes = 0; torn_bytes = 0 }
   in
-  let snapshot_seq, doc0 =
-    match Snapshot.load_latest ~dir with
-    | Some (seq, doc) -> (seq, doc)
-    | None ->
-      if scan.Journal.records <> [] then
-        fail "%s: journal without a loadable base snapshot" dir;
-      (0, Xmldoc.Document.empty)
-  in
+  if Option.is_none snapshot && scan.Journal.records <> [] then
+    fail "%s: journal without a loadable base snapshot" dir;
   let doc, seq, replayed =
     List.fold_left
       (fun (doc, seq, k) (r : Journal.record) ->
-        if r.Journal.seq <= snapshot_seq then (doc, seq, k)
-        else if r.Journal.seq <> seq + 1 then
+        if r.Journal.seq <> seq + 1 then
           fail "%s: journal gap (expected seq %d, found %d)" dir (seq + 1)
             r.Journal.seq
         else begin

@@ -442,6 +442,10 @@ let test_serve_broadcast () =
     (List.length
        (Core.Serve.query serve ~user:P.laporte "//diagnosis[node() = 'cured']"))
 
+let counter name =
+  try List.assoc name (Obs.Metrics.counters Obs.Metrics.default)
+  with Not_found -> 0
+
 let test_serve_denied_write_keeps_caches () =
   let serve = serve_paper () in
   List.iter
@@ -451,6 +455,8 @@ let test_serve_denied_write_keeps_caches () =
     List.map (fun u -> Core.Lazy_view.misses (Core.Serve.lazy_view serve ~user:u))
       (Core.Serve.users serve)
   in
+  let source_before = Core.Serve.source serve in
+  let refreshes_before = counter "session_refresh_full_total" in
   (* Robert may not rename his own diagnosis: denied, no delta. *)
   let report =
     Core.Serve.update serve ~user:P.robert
@@ -458,23 +464,30 @@ let test_serve_denied_write_keeps_caches () =
   in
   Alcotest.(check bool) "denied" true
     (report.Core.Secure_update.denied <> []);
+  (* The batch published the same epoch: nothing goes stale, and no
+     class is re-derived — not even the non-local ($USER) ones. *)
+  Alcotest.(check bool) "source physically unchanged" true
+    (Core.Serve.source serve == source_before);
+  Alcotest.(check int) "no class goes stale" 0 (Core.Serve.stale_classes serve);
+  Alcotest.(check int) "no full refresh" refreshes_before
+    (counter "session_refresh_full_total");
   List.iter
     (fun user -> ignore (Core.Serve.query serve ~user "//node()"))
     (Core.Serve.users serve);
+  Alcotest.(check int) "reads rebuild nothing" refreshes_before
+    (counter "session_refresh_full_total");
   let misses_after =
     List.map (fun u -> Core.Lazy_view.misses (Core.Serve.lazy_view serve ~user:u))
       (Core.Serve.users serve)
   in
-  (* Staff sessions are downward-local and the delta was empty: their
-     repeat query is pure cache hits.  (Patients carry a $USER rule, so
-     they fall back to full invalidation — their miss counters may
-     move.) *)
+  (* The delta was empty, so every session's repeat query is pure cache
+     hits — staff sessions (downward-local) and patients ($USER rules)
+     alike. *)
   List.iter2
     (fun user (before, after) ->
-      if List.mem user [ P.beaufort; P.laporte; P.richard ] then
-        Alcotest.(check int)
-          (Printf.sprintf "%s: no re-decisions after a denied write" user)
-          before after)
+      Alcotest.(check int)
+        (Printf.sprintf "%s: no re-decisions after a denied write" user)
+        before after)
     (Core.Serve.users serve)
     (List.combine misses_before misses_after)
 

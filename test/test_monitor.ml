@@ -89,6 +89,30 @@ let test_telemetry_endpoints () =
     [ "/rulez"; "/slowz"; "/explainz"; "/auditz"; "/eventz"; "/alertz";
       "/timeseriez" ]
 
+(* The deferral gauge, scraped after a commit: the staff writer's commit
+   leaves both $USER patients stale, and a read rebuilds one of them. *)
+let test_stale_classes_gauge () =
+  let serve = Core.Serve.create P.policy (P.document ()) in
+  Core.Serve.login_many serve [ P.laporte; P.robert; P.franck ];
+  (match
+     Core.Serve.commit serve ~user:P.laporte
+       [ Xupdate.Op.update "/patients/franck/diagnosis" "cured" ]
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Core.Txn.error_to_string e));
+  let scrape () =
+    (Monitor.handle ~probes:no_probes ~meth:"GET" ~target:"/metrics")
+      .Monitor.body
+  in
+  let body = scrape () in
+  Alcotest.(check bool) "gauge typed" true
+    (contains body "# TYPE serve_stale_classes gauge");
+  Alcotest.(check bool) "both patients stale after the commit" true
+    (contains body "serve_stale_classes 2");
+  ignore (Core.Serve.query serve ~user:P.robert "//node()");
+  Alcotest.(check bool) "a read rebuilds one" true
+    (contains (scrape ()) "serve_stale_classes 1")
+
 (* The /eventz?txn= filter contract: matching id serves exactly that
    transaction's events, a non-matching id serves an empty list (not an
    error), and malformed ids are 400s. *)
@@ -448,4 +472,10 @@ let () =
         ] );
       ( "http",
         [ Alcotest.test_case "exporter end to end" `Quick test_end_to_end ] );
+      (* after "http", whose checks read absolute commit counts *)
+      ( "serve",
+        [
+          Alcotest.test_case "serve_stale_classes after a commit" `Quick
+            test_stale_classes_gauge;
+        ] );
     ]

@@ -482,6 +482,49 @@ let test_audit_sink () =
   Alcotest.(check (list string)) "sink offered each event in order"
     [ "login"; "query" ] (List.rev !seen)
 
+(* A deferred class rebuild is a refresh, not a login: it writes no
+   audit record and leaves session_logins_total alone; it counts in
+   serve_rebase_full_total when it runs, and the serve_stale_classes
+   gauge tracks the classes still waiting for one. *)
+let test_deferred_rebuild_quiet () =
+  Obs.Audit.set_enabled true;
+  Obs.Audit.clear Obs.Audit.default;
+  Fun.protect ~finally:(fun () ->
+      Obs.Audit.set_enabled false;
+      Obs.Audit.clear Obs.Audit.default)
+  @@ fun () ->
+  let counter name = List.assoc name (Obs.Metrics.counters Obs.Metrics.default) in
+  let gauge name = List.assoc name (Obs.Metrics.gauges Obs.Metrics.default) in
+  let serve = Core.Serve.create P.policy (P.document ()) in
+  Core.Serve.login_many serve [ P.laporte; P.robert ];
+  let full0 = counter "serve_rebase_full_total" in
+  (match
+     Core.Serve.commit serve ~user:P.laporte
+       [ Xupdate.Op.update "/patients/franck/diagnosis" "cured" ]
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail (Core.Txn.error_to_string e));
+  Alcotest.(check (float 0.)) "the patient's class is deferred" 1.
+    (gauge "serve_stale_classes");
+  Alcotest.(check int) "nothing rebuilt at commit" full0
+    (counter "serve_rebase_full_total");
+  let logins = counter "session_logins_total" in
+  let login_records () =
+    List.length
+      (List.filter
+         (fun (e : Obs.Audit.event) -> String.equal e.action "login")
+         (Obs.Audit.events Obs.Audit.default))
+  in
+  let records = login_records () in
+  ignore (Core.Serve.query serve ~user:P.robert "//node()");
+  Alcotest.(check int) "no login audit record" records (login_records ());
+  Alcotest.(check int) "session_logins_total unmoved" logins
+    (counter "session_logins_total");
+  Alcotest.(check int) "the rebuild counts as one full rebase" (full0 + 1)
+    (counter "serve_rebase_full_total");
+  Alcotest.(check (float 0.)) "no class left stale" 0.
+    (gauge "serve_stale_classes")
+
 (* -- chrome trace export ------------------------------------------------ *)
 
 let test_chrome_export () =
@@ -1056,6 +1099,8 @@ let () =
         [
           Alcotest.test_case "ring bounding" `Quick test_audit_ring_bounding;
           Alcotest.test_case "sink" `Quick test_audit_sink;
+          Alcotest.test_case "deferred rebuilds are quiet" `Quick
+            test_deferred_rebuild_quiet;
         ] );
       ( "timestamps",
         [

@@ -14,7 +14,12 @@
    (d) mixed-journal recovery — for {e every} byte-prefix of a journal
        interleaving document and policy records, [Txn.recover]
        reproduces the document, the policy and every user's visibility
-       at the last commit boundary inside the prefix. *)
+       at the last commit boundary inside the prefix;
+   (e) deferred refresh — random interleavings of commits by local and
+       non-local writers, policy churn, queries, logins and logouts,
+       at pool sizes 1 and 4, keep every user's [Serve.query],
+       [Serve.view] and [Serve.session] equal to a fresh login, however
+       long a non-local class stayed stale. *)
 
 open Xmldoc
 module D = Document
@@ -593,6 +598,287 @@ let test_mixed_recovery_every_prefix () =
   check_visibility ~p:(String.length bytes) r.Core.Txn.doc r.Core.Txn.policy
     final_doc final_policy
 
+(* ------------------------------------------------------------------ *)
+(* (e) deferred refresh of non-local classes                           *)
+(* ------------------------------------------------------------------ *)
+
+let deferral_config =
+  { Workload.Gen_doc.patients = 4; visits_per_patient = 2;
+    diagnosed_fraction = 0.7; seed = 11 }
+
+let deferral_patients =
+  match Workload.Gen_doc.patient_names deferral_config with
+  | p0 :: p1 :: _ -> [ p0; p1 ]
+  | _ -> assert false
+
+(* Doctors and the secretary are policy-local; the auditors share one
+   non-local class (a predicate rule); patients are non-local $USER
+   singletons.  Auditors and patients may write, so both kinds of class
+   commit. *)
+let deferral_staff = [ "doc0"; "doc1"; "sec0"; "aud0"; "aud1" ]
+let deferral_users = deferral_staff @ deferral_patients
+let auditor_predicate_rule = 5
+
+let deferral_policy () =
+  let subjects =
+    Core.Subject.of_list
+      ([
+         (Core.Subject.Role, "staff", []);
+         (Core.Subject.Role, "doctor", [ "staff" ]);
+         (Core.Subject.Role, "secretary", [ "staff" ]);
+         (Core.Subject.Role, "auditor", [ "staff" ]);
+         (Core.Subject.Role, "patient", []);
+         (Core.Subject.User, "doc0", [ "doctor" ]);
+         (Core.Subject.User, "doc1", [ "doctor" ]);
+         (Core.Subject.User, "sec0", [ "secretary" ]);
+         (Core.Subject.User, "aud0", [ "auditor" ]);
+         (Core.Subject.User, "aud1", [ "auditor" ]);
+       ]
+      @ List.map (fun p -> (Core.Subject.User, p, [ "patient" ])) deferral_patients)
+  in
+  let own = "/patients/*[name() = $USER]/descendant-or-self::node()" in
+  Core.Policy.v subjects
+    Core.Rule.
+      [
+        accept Core.Privilege.Read ~path:"//node()" ~subject:"staff" ~priority:1;
+        deny Core.Privilege.Read ~path:"//diagnosis/node()" ~subject:"secretary"
+          ~priority:2;
+        accept Core.Privilege.Position ~path:"//diagnosis/node()"
+          ~subject:"secretary" ~priority:3;
+        accept Core.Privilege.Update ~path:"//diagnosis/node()"
+          ~subject:"doctor" ~priority:4;
+        deny Core.Privilege.Read ~path:"//visit[@n = 1]" ~subject:"auditor"
+          ~priority:auditor_predicate_rule;
+        accept Core.Privilege.Update ~path:"//service/node()"
+          ~subject:"auditor" ~priority:6;
+        accept Core.Privilege.Read ~path:"/patients" ~subject:"patient"
+          ~priority:7;
+        accept Core.Privilege.Read ~path:own ~subject:"patient" ~priority:8;
+        accept Core.Privilege.Update ~path:own ~subject:"patient" ~priority:9;
+        accept Core.Privilege.Insert ~path:"//diagnosis" ~subject:"doctor"
+          ~priority:10;
+        accept Core.Privilege.Delete ~path:"//diagnosis/node()"
+          ~subject:"doctor" ~priority:11;
+      ]
+
+let deferral_serve ~pool =
+  Core.Serve.create ~pool:(Core.Pool.create pool) (deferral_policy ())
+    (Workload.Gen_doc.generate deferral_config)
+
+let deferral_queries =
+  [ "//node()"; "//diagnosis/node()"; "//visit"; "//service/text()";
+    "/patients/*[name() = $USER]//node()" ]
+
+let ids_equal a b =
+  List.length a = List.length b && List.for_all2 Ordpath.equal a b
+
+(* The oracle: every logged user's served answers, view and session
+   equal a fresh login on the current (document, policy).  Reading every
+   user rebuilds every stale class, so none is left stale. *)
+let check_deferral ~label serve =
+  let policy = Core.Serve.policy serve in
+  let source = Core.Serve.source serve in
+  List.iter
+    (fun user ->
+      let fresh = Core.Session.login policy source ~user in
+      List.iter
+        (fun q ->
+          if
+            not
+              (ids_equal (Core.Serve.query serve ~user q)
+                 (Core.Session.query fresh q))
+          then Alcotest.failf "%s: %s's answers to %s diverge" label user q)
+        deferral_queries;
+      if not (D.equal (Core.Serve.view serve ~user) (Core.Session.view fresh))
+      then Alcotest.failf "%s: %s's view diverges" label user;
+      let s = Core.Serve.session serve ~user in
+      if not (String.equal (Core.Session.user s) user) then
+        Alcotest.failf "%s: %s's session has identity %s" label user
+          (Core.Session.user s);
+      if not (Core.Session.source s == source) then
+        Alcotest.failf "%s: %s's session is on an old document" label user;
+      D.fold
+        (fun (n : Node.t) () ->
+          List.iter
+            (fun priv ->
+              if
+                Core.Session.holds s priv n.id
+                <> Core.Session.holds fresh priv n.id
+              then
+                Alcotest.failf "%s: %s's %s decision on %s diverges" label
+                  user
+                  (Core.Privilege.to_string priv)
+                  (Ordpath.to_string n.id))
+            Core.Privilege.all)
+        source ())
+    (Core.Serve.users serve);
+  Alcotest.(check int) (label ^ ": no class left stale") 0
+    (Core.Serve.stale_classes serve)
+
+let commit_ok serve ~user ops =
+  match Core.Serve.commit_ops ~on_denial:`Tolerate serve ~user ops with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "commit by %s: %s" user (Core.Txn.error_to_string e)
+
+let test_deferral_required_cases () =
+  List.iter
+    (fun pool ->
+      let label what = Printf.sprintf "pool %d: %s" pool what in
+      let serve = deferral_serve ~pool in
+      let p0 = List.hd deferral_patients in
+      Core.Serve.login_many serve deferral_users;
+      (* doctors, secretary, auditors, two patients *)
+      Alcotest.(check int) (label "five classes") 5 (Core.Serve.classes serve);
+      check_deferral ~label:(label "after login") serve;
+      (* A local writer's commit defers every non-local class. *)
+      ignore
+        (commit_ok serve ~user:"doc0"
+           [ Core.Op.Doc (Op.update "//diagnosis" "cured") ]);
+      Alcotest.(check int) (label "auditors and patients deferred") 3
+        (Core.Serve.stale_classes serve);
+      (* A stale writer class commits: it must stage on the current
+         document, or the doctor's cure would be silently dropped. *)
+      ignore
+        (commit_ok serve ~user:p0
+           [ Core.Op.Doc
+               (Op.update (Printf.sprintf "/patients/%s/service" p0) "oncology") ]);
+      let cured = Core.Session.query_source (Core.Serve.session serve ~user:"doc0") in
+      Alcotest.(check bool) (label "the doctor's cure survives") true
+        (cured "//diagnosis[text() = 'cured']" <> []);
+      Alcotest.(check bool) (label "the patient's write landed") true
+        (cured (Printf.sprintf "/patients/%s/service[text() = 'oncology']" p0)
+         <> []);
+      check_deferral ~label:(label "after a stale writer's commit") serve;
+      (* The last members of a stale shared class log out. *)
+      ignore
+        (commit_ok serve ~user:"doc1"
+           [ Core.Op.Doc (Op.update "//diagnosis" "healed") ]);
+      let stale = Core.Serve.stale_classes serve in
+      Core.Serve.logout serve ~user:"aud0";
+      Alcotest.(check int) (label "one auditor left, class still stale") stale
+        (Core.Serve.stale_classes serve);
+      Core.Serve.logout serve ~user:"aud1";
+      Alcotest.(check int) (label "drained stale class uncounted") (stale - 1)
+        (Core.Serve.stale_classes serve);
+      Alcotest.(check int) (label "drained class removed") 4
+        (Core.Serve.classes serve);
+      Core.Serve.login_many serve [ "aud0"; "aud1" ];
+      check_deferral ~label:(label "after the auditors log back in") serve;
+      (* A stale class whose rules become local under a rekey: it stays
+         stale (no delta may patch it) and is rebuilt on read. *)
+      ignore
+        (commit_ok serve ~user:"aud1"
+           [ Core.Op.Doc (Op.update "//service" "triage") ]);
+      Alcotest.(check int) (label "a non-local writer's own class is ready") 2
+        (Core.Serve.stale_classes serve);
+      ignore
+        (commit_ok serve ~user:"doc1"
+           [ Core.Op.Doc (Op.update "//diagnosis" "mended") ]);
+      Alcotest.(check int) (label "auditors and patients deferred again") 3
+        (Core.Serve.stale_classes serve);
+      let c =
+        commit_ok serve ~user:"doc0"
+          [ Core.Op.Doc (Op.update "//diagnosis" "flu");
+            Core.Op.Policy
+              (Core.Op.Retract_rule { priority = auditor_predicate_rule }) ]
+      in
+      Alcotest.(check bool) (label "policy changed") true
+        c.Core.Serve.policy_changed;
+      Alcotest.(check int) (label "now-local auditors still stale") 3
+        (Core.Serve.stale_classes serve);
+      check_deferral ~label:(label "after the rekey") serve;
+      (* Back on the eager path: the next commit rebases the auditors. *)
+      ignore
+        (commit_ok serve ~user:"doc1"
+           [ Core.Op.Doc (Op.update "//diagnosis" "fine") ]);
+      Alcotest.(check int) (label "only the patients deferred") 2
+        (Core.Serve.stale_classes serve);
+      check_deferral ~label:(label "after an eager rebase") serve)
+    [ 1; 4 ]
+
+let deferral_isa = [ ("aud0", "auditor"); ("aud1", "doctor"); ("doc1", "auditor"); ("sec0", "doctor") ]
+
+let deferral_subjects =
+  [ "staff"; "doctor"; "secretary"; "auditor"; "patient" ] @ deferral_users
+
+let random_deferral_policy_op rng serve =
+  let policy = Core.Serve.policy serve in
+  let rng, kind = Prng.int rng 3 in
+  match kind with
+  | 0 ->
+    let rng, deny = Prng.bool rng 0.5 in
+    let rng, path = Prng.pick rng rule_paths in
+    let rng, privilege = Prng.pick rng Core.Privilege.all in
+    let rng, subject = Prng.pick rng deferral_subjects in
+    ( rng,
+      Core.Op.Add_rule
+        (Core.Rule.v
+           (if deny then Core.Rule.Deny else Core.Rule.Accept)
+           privilege ~path ~subject
+           ~priority:(Core.Serve.fresh_priority serve)) )
+  | 1 when Core.Policy.rules policy <> [] ->
+    let rng, r = Prng.pick rng (Core.Policy.rules policy) in
+    (rng, Core.Op.Retract_rule { priority = r.Core.Rule.priority })
+  | _ ->
+    let rng, (sub, super) = Prng.pick rng deferral_isa in
+    if Core.Subject.has_isa_edge (Core.Policy.subjects policy) ~sub ~super then
+      (rng, Core.Op.Remove_isa { sub; super })
+    else (rng, Core.Op.Add_isa { sub; super })
+
+(* One random action; a step runs a burst of them, so classes stay stale
+   across several commits, rekeys and logouts before the oracle reads
+   them all. *)
+let random_deferral_action rng serve =
+  let rng, kind = Prng.int rng 10 in
+  let rng, user = Prng.pick rng deferral_users in
+  match kind with
+  | 0 | 1 | 2 | 3 ->
+    let rng, op = random_doc_op rng in
+    ignore (Core.Serve.commit_ops ~on_denial:`Tolerate serve ~user [ Core.Op.Doc op ]);
+    rng
+  | 4 ->
+    let rng, op = random_doc_op rng in
+    let rng, pop = random_deferral_policy_op rng serve in
+    ignore
+      (Core.Serve.commit_ops ~on_denial:`Tolerate serve ~user
+         [ Core.Op.Doc op; Core.Op.Policy pop ]);
+    rng
+  | 5 | 6 ->
+    let rng, q = Prng.pick rng deferral_queries in
+    ignore (Core.Serve.query serve ~user q);
+    rng
+  | 7 ->
+    Core.Serve.login serve ~user;
+    rng
+  | 8 ->
+    let rng, other = Prng.pick rng deferral_users in
+    Core.Serve.login_many serve [ user; other ];
+    rng
+  | _ ->
+    Core.Serve.logout serve ~user;
+    rng
+
+let test_deferral_random () =
+  List.iter
+    (fun pool ->
+      for case = 0 to 3 do
+        let seed = base_seed + 500 + case in
+        let serve = deferral_serve ~pool in
+        Core.Serve.login_many serve deferral_users;
+        let rng = ref (Prng.create seed) in
+        for step = 1 to 40 do
+          let r, burst = Prng.int !rng 4 in
+          rng := r;
+          for _ = 0 to burst do
+            rng := random_deferral_action !rng serve
+          done;
+          check_deferral
+            ~label:(Printf.sprintf "pool %d seed %d step %d" pool seed step)
+            serve
+        done
+      done)
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "policy_churn"
     [
@@ -617,5 +903,14 @@ let () =
         [
           Alcotest.test_case "every byte-prefix of a mixed journal" `Quick
             test_mixed_recovery_every_prefix;
+        ] );
+      ( "deferral",
+        [
+          Alcotest.test_case
+            "stale writer, stale class turned local, stale class drained"
+            `Quick test_deferral_required_cases;
+          Alcotest.test_case
+            "random interleavings at pool 1 and 4 ≡ fresh login" `Quick
+            test_deferral_random;
         ] );
     ]

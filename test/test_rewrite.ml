@@ -242,7 +242,7 @@ let test_write_only_privileges () =
 (* Permission-equivalence classes (Serve)                              *)
 (* ------------------------------------------------------------------ *)
 
-let class_setup () =
+let class_setup ?pool () =
   let config =
     { Workload.Gen_doc.patients = 6; visits_per_patient = 2;
       diagnosed_fraction = 0.8; seed = 42 }
@@ -286,7 +286,7 @@ let class_setup () =
       ]
   in
   let users = secretaries @ doctors @ patients in
-  let serve = Core.Serve.create policy doc in
+  let serve = Core.Serve.create ?pool policy doc in
   Core.Serve.login_many serve users;
   (serve, secretaries, doctors, patients, users)
 
@@ -387,6 +387,53 @@ let test_class_draining () =
   Alcotest.(check int) "class rebuilt on demand" before
     (Core.Serve.classes serve)
 
+(* A commit leaves a non-local class it did not rebase holding nothing of
+   the old epoch: once collected, the representative's perm store and
+   view, the lazy view (with its memo) and the old source and snapshot
+   are all gone.  Pool 1: a finished helper domain of a larger pool keeps
+   its last batch — here the eager rebases of the local classes, which
+   hold the old epoch — reachable until the next batch reuses its slot. *)
+let test_stale_class_pins_nothing () =
+  let serve, _, doctors, patients, _ =
+    class_setup ~pool:(Core.Pool.create 1) ()
+  in
+  let p0 = List.hd patients in
+  let pins = Weak.create 5 in
+  let capture () =
+    ignore (Core.Serve.query serve ~user:p0 "//node()");
+    let s = Core.Serve.session serve ~user:p0 in
+    let lv = Core.Serve.lazy_view serve ~user:p0 in
+    Weak.set pins 0 (Some (Obj.repr (Core.Session.perm s)));
+    Weak.set pins 1 (Some (Obj.repr (Core.Session.view s)));
+    Weak.set pins 2 (Some (Obj.repr lv));
+    Weak.set pins 3 (Some (Obj.repr (Core.Serve.source serve)));
+    Weak.set pins 4 (Option.map Obj.repr (Core.Lazy_view.flat lv))
+  in
+  capture ();
+  Alcotest.(check int) "nothing stale before the commit" 0
+    (Core.Serve.stale_classes serve);
+  ignore
+    (Core.Serve.update serve ~user:(List.hd doctors)
+       (Xupdate.Op.update "//diagnosis" "cured"));
+  Alcotest.(check int) "the $USER patients are deferred"
+    (List.length patients)
+    (Core.Serve.stale_classes serve);
+  Gc.full_major ();
+  List.iteri
+    (fun i what ->
+      Alcotest.(check bool) (what ^ " released") false (Weak.check pins i))
+    [ "perm store"; "materialised view"; "lazy view"; "old source";
+      "old snapshot" ];
+  (* The first read rebuilds the class on the current epoch. *)
+  let fresh =
+    Core.Session.login (Core.Serve.policy serve) (Core.Serve.source serve)
+      ~user:p0
+  in
+  Alcotest.(check bool) "rebuilt view = fresh login view" true
+    (D.equal (Core.Serve.view serve ~user:p0) (Core.Session.view fresh));
+  Alcotest.(check int) "one class left stale" (List.length patients - 1)
+    (Core.Serve.stale_classes serve)
+
 let () =
   Alcotest.run "rewrite"
     [
@@ -414,5 +461,7 @@ let () =
             test_class_broadcast;
           Alcotest.test_case "logout drains classes" `Quick
             test_class_draining;
+          Alcotest.test_case "a stale class pins no old epoch" `Quick
+            test_stale_class_pins_nothing;
         ] );
     ]

@@ -267,6 +267,50 @@ let test_journal_corruption () =
    | exception Store.Journal.Error _ -> ()
    | _ -> Alcotest.fail "bad header accepted")
 
+(* Recovery scans only the tail past its snapshot: for every truncation
+   point and every snapshot seq, [scan_tail] keeps exactly the records of
+   the full scan beyond that seq, with the same valid/torn split. *)
+let test_journal_tail_scan () =
+  let dir = mk_temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "journal.log" in
+  let bytes = journal_bytes sample_records in
+  let seqs scan =
+    List.map (fun (r : Store.Journal.record) -> r.seq) scan.Store.Journal.records
+  in
+  for p = String.length Store.Journal.header_line to String.length bytes do
+    let prefix = String.sub bytes 0 p in
+    spit path prefix;
+    let full = Store.Journal.scan_string prefix in
+    for after = 0 to 4 do
+      let tail = Store.Journal.scan_tail ~after path in
+      let label = Printf.sprintf "prefix %d after %d" p after in
+      Alcotest.(check (list int)) (label ^ " records")
+        (List.filter (fun s -> s > after) (seqs full))
+        (seqs tail);
+      Alcotest.(check int) (label ^ " valid bytes")
+        full.Store.Journal.valid_bytes tail.Store.Journal.valid_bytes;
+      Alcotest.(check int) (label ^ " torn bytes")
+        full.Store.Journal.torn_bytes tail.Store.Journal.torn_bytes
+    done
+  done;
+  (* A checksum-valid frame that would not decode ends the full scan's
+     valid prefix, but a frame the snapshot covers is never decoded. *)
+  let undecodable =
+    Store.Journal.frame ~magic:Store.Journal.magic
+      "<txn seq=\"1\" user=\"u\" mode=\"bogus\"/>"
+  in
+  let rest = List.tl sample_records in
+  spit path
+    (Store.Journal.header_line ^ undecodable
+    ^ String.concat "" (List.map Store.Journal.encode rest));
+  Alcotest.(check (list int)) "full scan stops at the undecodable frame" []
+    (seqs (Store.Journal.scan path));
+  let tail = Store.Journal.scan_tail ~after:1 path in
+  Alcotest.(check (list int)) "covered frame skipped undecoded" [ 2; 3 ]
+    (seqs tail);
+  Alcotest.(check int) "nothing torn" 0 tail.Store.Journal.torn_bytes
+
 (* ------------------------------------------------------------------ *)
 (* (c) snapshots                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +358,8 @@ let () =
             test_journal_torn_tail;
           Alcotest.test_case "corruption and bad header" `Quick
             test_journal_corruption;
+          Alcotest.test_case "tail scan past a snapshot seq" `Quick
+            test_journal_tail_scan;
         ] );
       ( "snapshot",
         [
